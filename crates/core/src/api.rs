@@ -617,8 +617,7 @@ impl TseWriter for LocalWriter {
 ///
 /// Without a directory ([`SharedSystem::builder`]) the system is in-memory.
 /// Unset knobs keep their [`StoreConfig::default`] values; persisted layout
-/// parameters of an existing directory win over the builder (same rule as
-/// the old constructors).
+/// parameters of an existing directory win over the builder.
 #[derive(Debug, Clone)]
 pub struct SystemBuilder {
     dir: Option<PathBuf>,
@@ -628,12 +627,6 @@ pub struct SystemBuilder {
 impl SystemBuilder {
     pub(crate) fn new(dir: Option<PathBuf>) -> SystemBuilder {
         SystemBuilder { dir, config: StoreConfig::default() }
-    }
-
-    /// Back the system with (or recover it from) `dir`.
-    pub fn dir(mut self, dir: impl Into<PathBuf>) -> SystemBuilder {
-        self.dir = Some(dir.into());
-        self
     }
 
     /// Simulated page size in bytes.
@@ -673,12 +666,6 @@ impl SystemBuilder {
         self
     }
 
-    /// The assembled [`StoreConfig`] (escape hatch for callers that still
-    /// need the raw struct).
-    pub fn config(&self) -> &StoreConfig {
-        &self.config
-    }
-
     /// Open the system: durable recovery when a directory is set, fresh
     /// in-memory otherwise.
     pub fn open(self) -> TseResult<SharedSystem> {
@@ -690,8 +677,8 @@ impl SystemBuilder {
 }
 
 impl SharedSystem {
-    /// Start building an in-memory system; add [`SystemBuilder::dir`] for
-    /// durability.
+    /// Start building an in-memory system; a durable one starts from
+    /// [`TseSystem::builder`].
     pub fn builder() -> SystemBuilder {
         SystemBuilder::new(None)
     }
@@ -705,10 +692,10 @@ impl SharedSystem {
 }
 
 impl TseSystem {
-    /// Start building a durable system rooted at `dir` (the builder-style
-    /// replacement for the `open_with_config(dir, StoreConfig { .. })`
-    /// field soup). `open()` returns the concurrent [`SharedSystem`]; use
-    /// [`SharedSystem::builder`] for in-memory systems.
+    /// Start building a durable system rooted at `dir` — the one way to
+    /// open (or recover) a directory. `open()` returns the concurrent
+    /// [`SharedSystem`]; use [`SharedSystem::builder`] for in-memory
+    /// systems.
     pub fn builder(dir: &Path) -> SystemBuilder {
         SystemBuilder::new(Some(dir.to_path_buf()))
     }

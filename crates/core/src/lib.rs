@@ -32,6 +32,10 @@
 //! tse.set(v2, oid, "Student", &[("register", Value::Bool(true))]).unwrap();
 //! assert_eq!(tse.get(v2, oid, "Student", "register").unwrap(), Value::Bool(true));
 //! ```
+//!
+//! [`TseSystem`] is the in-memory paper core. Many users share one store
+//! through a [`SharedSystem`]: durable via [`TseSystem::builder`]`(dir)`,
+//! in memory via [`SharedSystem::builder`] or [`SharedSystem::new`].
 
 #![warn(missing_docs)]
 
@@ -52,7 +56,6 @@ pub use api::{
     TseClient, TseCode, TseError, TseReader, TseResult, TseWriter,
 };
 pub use change::{parse_change, parse_expr, render_expr, SchemaChange};
-pub use durable::DurableSystem;
 pub use health::{DegradedReason, SystemHealth};
 pub use shared::{MetaSnapshot, ReadSession, ScrubberHandle, SharedSystem, WriteSession};
 pub use system::{EvolutionReport, PhaseTimings, TseSystem};

@@ -6,19 +6,19 @@
 //! followed by a CRC32 covering its length framing and content, so any
 //! single-bit corruption anywhere in the file is detected as
 //! [`tse_storage::StorageError::Corrupt`] rather than silently misread.
-//! `TSESYS01` files (no checksums) are still read for compatibility.
-//! [`TseSystem::save`] writes crash-atomically (temp file + fsync + rename).
+//! Any other magic — including the unchecksummed version 1 — is `Corrupt`.
+//! On disk these blobs are the payloads of the durable directory's
+//! snapshot generations (see the `durable` module).
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use tse_algebra::{UnionRoute, UpdatePolicy};
 use tse_object_model::{ClassId, ModelError, ModelResult};
-use tse_storage::{durable, Crc32};
+use tse_storage::Crc32;
 use tse_view::{decode_manager, encode_manager};
 
 use crate::system::TseSystem;
 
-const MAGIC_V1: &[u8; 8] = b"TSESYS01";
 const MAGIC_V2: &[u8; 8] = b"TSESYS02";
 
 fn corrupt(msg: &str) -> ModelError {
@@ -93,9 +93,9 @@ impl TseSystem {
         buf.freeze()
     }
 
-    /// Restore a system from [`TseSystem::encode`] output (or a legacy
-    /// `TSESYS01` file). Corruption anywhere — flipped bit, truncation,
-    /// trailing garbage — is an error, never a misread system.
+    /// Restore a system from [`TseSystem::encode`] output. Corruption
+    /// anywhere — flipped bit, truncation, trailing garbage, unknown
+    /// magic — is an error, never a misread system.
     pub fn decode(bytes: Bytes) -> ModelResult<TseSystem> {
         Self::decode_with_config(bytes, tse_storage::StoreConfig::default())
     }
@@ -112,9 +112,6 @@ impl TseSystem {
         }
         let mut magic = [0u8; 8];
         bytes.copy_to_slice(&mut magic);
-        if &magic == MAGIC_V1 {
-            return Self::decode_v1(bytes, runtime);
-        }
         if &magic != MAGIC_V2 {
             return Err(corrupt("bad system snapshot magic"));
         }
@@ -150,63 +147,6 @@ impl TseSystem {
         }
         Ok(TseSystem { db, views, policy })
     }
-
-    /// Legacy `TSESYS01` body: unchecksummed length-prefixed sections.
-    fn decode_v1(mut bytes: Bytes, runtime: tse_storage::StoreConfig) -> ModelResult<TseSystem> {
-        if bytes.remaining() < 8 {
-            return Err(corrupt("truncated database length"));
-        }
-        let db_len = bytes.get_u64() as usize;
-        if bytes.remaining() < db_len {
-            return Err(corrupt("truncated database blob"));
-        }
-        let db = tse_object_model::decode_database_with(bytes.copy_to_bytes(db_len), runtime)?;
-        if bytes.remaining() < 8 {
-            return Err(corrupt("truncated views length"));
-        }
-        let views_len = bytes.get_u64() as usize;
-        if bytes.remaining() < views_len {
-            return Err(corrupt("truncated views blob"));
-        }
-        let views = decode_manager(bytes.copy_to_bytes(views_len))?;
-        if bytes.remaining() < 4 {
-            return Err(corrupt("truncated policy"));
-        }
-        let n = bytes.get_u32() as usize;
-        let mut policy = UpdatePolicy::default();
-        for _ in 0..n {
-            if bytes.remaining() < 5 {
-                return Err(corrupt("truncated union route"));
-            }
-            let class = ClassId(bytes.get_u32());
-            let route = route_from(bytes.get_u8())?;
-            policy.union_routes.insert(class, route);
-        }
-        if bytes.remaining() > 0 {
-            return Err(corrupt("trailing bytes after system snapshot"));
-        }
-        Ok(TseSystem { db, views, policy })
-    }
-
-    /// Save the system to a file, crash-atomically: the bytes land in a
-    /// temp file which is fsync'd and renamed over the target, so a crash
-    /// mid-save leaves the previous file intact.
-    pub fn save(&self, path: &std::path::Path) -> ModelResult<()> {
-        durable::write_atomic(
-            path,
-            self.encode().as_ref(),
-            self.db.failpoints(),
-            "durable.sys_save",
-        )?;
-        Ok(())
-    }
-
-    /// Load a system from a file.
-    pub fn load(path: &std::path::Path) -> ModelResult<TseSystem> {
-        let bytes = std::fs::read(path)
-            .map_err(|e| ModelError::Invalid(format!("system snapshot read failed: {e}")))?;
-        TseSystem::decode(Bytes::from(bytes))
-    }
 }
 
 #[cfg(test)]
@@ -234,24 +174,6 @@ mod tests {
         // union routes.
         tse.define_base_class("Staff", &["Person"], vec![]).unwrap();
         (tse, o, v1, v2)
-    }
-
-    /// The retired `TSESYS01` writer, kept to prove read compatibility.
-    fn encode_v1(tse: &TseSystem) -> Bytes {
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC_V1);
-        let db_bytes = tse_object_model::encode_database(&tse.db);
-        buf.put_u64(db_bytes.len() as u64);
-        buf.put_slice(&db_bytes);
-        let views_bytes = encode_manager(&tse.views);
-        buf.put_u64(views_bytes.len() as u64);
-        buf.put_slice(views_bytes.as_ref());
-        buf.put_u32(tse.policy.union_routes.len() as u32);
-        for (class, route) in &tse.policy.union_routes {
-            buf.put_u32(class.0);
-            buf.put_u8(route_tag(*route));
-        }
-        buf.freeze()
     }
 
     #[test]
@@ -286,28 +208,8 @@ mod tests {
     }
 
     #[test]
-    fn v1_snapshots_still_load() {
-        let (tse, o, v1, v2) = build();
-        let restored = TseSystem::decode(encode_v1(&tse)).unwrap();
-        assert_eq!(
-            restored.get(v2, o, "Student", "register").unwrap(),
-            Value::Bool(true)
-        );
-        assert_eq!(restored.get(v1, o, "Student", "name").unwrap(), Value::Str("ann".into()));
-        assert_eq!(restored.policy().union_routes, tse.policy().union_routes);
-    }
-
-    #[test]
-    fn file_roundtrip_and_corruption() {
+    fn corrupt_inputs_are_rejected() {
         let (tse, ..) = build();
-        let dir = std::env::temp_dir().join(format!("tse_sys_snap_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("sys.tse");
-        tse.save(&path).unwrap();
-        let restored = TseSystem::load(&path).unwrap();
-        assert_eq!(restored.views().view_count(), tse.views().view_count());
-        std::fs::remove_dir_all(&dir).ok();
-
         // Every strict prefix must be rejected, never panic or misread.
         let good = tse.encode();
         for cut in 0..good.len() {
@@ -317,6 +219,28 @@ mod tests {
         let mut padded: Vec<u8> = good.as_slice().to_vec();
         padded.push(0);
         assert!(TseSystem::decode(Bytes::from(padded)).is_err());
+        // A foreign magic is corrupt, and so is the retired version-1
+        // layout (same magic with version digit 1, unchecksummed
+        // length-prefixed sections): it has no reader any more.
+        let is_corrupt = |bytes: Bytes| {
+            matches!(
+                TseSystem::decode(bytes),
+                Err(ModelError::Storage(tse_storage::StorageError::Corrupt(_)))
+            )
+        };
+        let mut foreign = good.as_slice().to_vec();
+        foreign[..8].copy_from_slice(b"NOTATSE!");
+        assert!(is_corrupt(Bytes::from(foreign)));
+        let mut version1 = BytesMut::new();
+        let mut magic = *MAGIC_V2;
+        magic[7] = b'1';
+        version1.put_slice(&magic);
+        for blob in [tse_object_model::encode_database(&tse.db), encode_manager(&tse.views)] {
+            version1.put_u64(blob.len() as u64);
+            version1.put_slice(blob.as_ref());
+        }
+        version1.put_u32(0);
+        assert!(is_corrupt(version1.freeze()));
     }
 
     #[test]

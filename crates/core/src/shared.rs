@@ -26,7 +26,7 @@
 //!   `mem::swap` (measured by `evolve.exclusive_ns`). A `swap latch`
 //!   (writer-quiescing RwLock) is held in write mode from fork to swap, so
 //!   an in-flight data write can never fall between the fork and the
-//!   swapped-in successor — `fork()` sees all of a write batch or none.
+//!   swapped-in successor — the fork sees all of a write batch or none.
 //!
 //! Epoch lifecycle: epoch *n*'s snapshot is immutable once published;
 //! sessions opened at epoch *n* keep resolving against it even after *n+1*
@@ -46,8 +46,8 @@
 //! run under a `WriteTicket`, so a session opened mid-batch observes none
 //! of it and one opened after observes all of it; writers never block on
 //! readers, they just stamp new versions. The evolve path forks with
-//! [`TseSystem::fork_shared`] — a handful of `Arc` clones instead of a
-//! physical store copy — and superseded versions are reclaimed by
+//! [`TseSystem::fork_shared`], a handful of `Arc` clones that copy no
+//! data, and superseded versions are reclaimed by
 //! [`SharedSystem::gc_now`] (or opportunistically when sessions drop) once
 //! the oldest pin advances past them (`mvcc.*` telemetry).
 //!
@@ -71,7 +71,7 @@
 //! acquire `latch` before `system` and stripes last, so the order is
 //! acyclic and deadlock-free.
 //!
-//! Durability threads through **both** planes: [`SharedSystem::open`]
+//! Durability threads through **both** planes: [`TseSystem::builder`]`(dir)`
 //! recovers from a snapshot + WAL directory, after which every mutation is
 //! redo-logged as a typed frame ([`crate::walcodec`]). Structural changes
 //! ([`SharedSystem::evolve`] and [`SharedSystem::evolve_cmd`] alike) append
@@ -107,7 +107,7 @@ use tse_telemetry::Telemetry;
 use tse_view::{ViewId, ViewManager, ViewSchema};
 
 use crate::change::{parse_change, SchemaChange};
-use crate::durable::{DurableState, DurableSystem};
+use crate::durable::DurableState;
 use crate::health::{observe_io_error, HealthMachine, SystemHealth};
 use crate::system::{is_crash, note_fault, observe_op, EvolutionReport, TseSystem};
 use crate::walcodec::{encode_frame, WalRecord};
@@ -278,44 +278,25 @@ impl SharedSystem {
         Self::from_system(TseSystem::new())
     }
 
-    /// A fresh in-memory shared system with explicit storage configuration.
-    #[deprecated(
-        since = "0.9.0",
-        note = "use the builder: `SharedSystem::builder().write_stripes(n)...open()`"
-    )]
-    pub fn with_config(config: StoreConfig) -> Self {
-        Self::from_system(TseSystem::with_config(config))
-    }
-
     /// Wrap an existing single-threaded system (e.g. one built with the
     /// plain [`TseSystem`] API) for concurrent sharing. Publishes epoch 1.
     pub fn from_system(system: TseSystem) -> Self {
         Self::assemble(system, None)
     }
 
-    /// Open (or create) a durable shared system in `dir`: recovery is
-    /// exactly [`DurableSystem::open`] (newest valid snapshot + WAL redo),
-    /// after which the control plane owns the WAL and **every** mutation —
-    /// structural changes through either evolve entry point, and data
-    /// writes through [`WriteSession`]s — is write-ahead logged as a typed
-    /// redo frame.
-    pub fn open(dir: &Path) -> ModelResult<SharedSystem> {
-        Self::open_impl(dir, StoreConfig::default())
-    }
-
-    /// Like [`SharedSystem::open`] with explicit runtime store knobs
-    /// (stripe count, `wal_autocheckpoint_bytes`); persisted layout
-    /// parameters win over `config`.
-    #[deprecated(
-        since = "0.9.0",
-        note = "use the builder: `TseSystem::builder(dir).write_stripes(n)...open()`"
-    )]
-    pub fn open_with_config(dir: &Path, config: StoreConfig) -> ModelResult<SharedSystem> {
-        Self::open_impl(dir, config)
-    }
-
+    /// Open (or create) a durable shared system in `dir` — the body of
+    /// [`TseSystem::builder`]`(dir)…open()`. Recovery loads the newest
+    /// valid snapshot and redoes the WAL tail, after which the control
+    /// plane owns the WAL and **every** mutation — structural changes
+    /// through either evolve entry point, and data writes through
+    /// [`WriteSession`]s — is write-ahead logged as a typed redo frame.
+    /// Runtime store knobs come from `config`; persisted layout parameters
+    /// win over it.
     pub(crate) fn open_impl(dir: &Path, config: StoreConfig) -> ModelResult<SharedSystem> {
-        let (system, state) = DurableSystem::open_with_config(dir, config)?.into_parts();
+        // No seed checkpoint for a fresh directory: class definitions and
+        // view creations are WAL frames, so a crash before the first
+        // checkpoint recovers by full replay from an empty system.
+        let (system, state) = DurableState::open(dir, config)?;
         Ok(Self::assemble(system, Some(state)))
     }
 
@@ -437,23 +418,6 @@ impl SharedSystem {
 
     fn read_timed(&self) -> RwLockReadGuard<'_, TseSystem> {
         read_timed(&self.inner)
-    }
-
-    /// Serialize a metadata-affecting write and republish the epoch
-    /// snapshot while still holding the exclusive lock.
-    fn with_write_publish<R>(
-        &self,
-        f: impl FnOnce(&mut TseSystem) -> ModelResult<R>,
-    ) -> ModelResult<R> {
-        let _ctl = self.lock_control();
-        let started = Instant::now();
-        let mut sys = self.inner.system.write();
-        self.inner
-            .telemetry
-            .observe_ns("lock.write_wait_ns", (started.elapsed().as_nanos() as u64).max(1));
-        let out = f(&mut sys)?;
-        self.publish_meta_locked(&sys);
-        Ok(out)
     }
 
     /// Publish the next epoch's snapshot. Caller must hold the `system`
@@ -824,18 +788,6 @@ impl SharedSystem {
         };
         self.structural_logged(record, |sys| sys.create_view_all(family))
     }
-
-    /// Attach or clear a class constraint through a view. Publishes a new
-    /// epoch (constraints live in the schema readers resolve against).
-    pub fn set_constraint(
-        &self,
-        view: ViewId,
-        class_local: &str,
-        expr: Option<&str>,
-    ) -> ModelResult<()> {
-        self.with_write_publish(|sys| sys.set_constraint(view, class_local, expr))
-    }
-
 }
 
 fn read_timed(inner: &SharedInner) -> RwLockReadGuard<'_, TseSystem> {

@@ -7,19 +7,11 @@
 //! u8 version (0xA2) | u8 kind | u32 body_len | u32 crc32(kind ‖ body_len ‖ body) | body
 //! ```
 //!
-//! The version byte is `0xA2` rather than a small integer on purpose: no
-//! single-bit flip of `0xA2` yields `0x00`, and `0x00` is exactly what the
-//! first byte of a legacy v1 text frame looks like (the high byte of its
-//! `u32` family-length prefix). A flipped version byte therefore lands in
-//! the v1 parser with an impossible multi-gigabyte family length and is
-//! rejected — every single-bit corruption of a typed frame is detected,
-//! either by that route or by the CRC, which covers everything after the
-//! version byte.
-//!
-//! v1 read-compat: [`decode_frame`] still accepts the PR-2 text frames
-//! (`u32 family_len | family | command`), decoding them as
-//! [`WalRecord::Evolve`] — a log written before this format upgrade
-//! replays unchanged. New frames are always written typed.
+//! This is the only frame format: a payload whose first byte is not
+//! `0xA2` — including the retired untyped text frames
+//! (`u32 family_len | family | command`) — is `Corrupt`. Every single-bit
+//! corruption of a typed frame is therefore detected: a flipped version
+//! byte fails the version check, and the CRC covers everything after it.
 //!
 //! Data frames log **effects, not requests**: `Create` carries the oid the
 //! original call assigned (recovery forces the allocator to reissue it),
@@ -351,12 +343,11 @@ fn get_class(buf: &mut Bytes) -> ModelResult<ClassId> {
     Ok(ClassId(buf.get_u32()))
 }
 
-/// Decode one WAL frame payload — a typed frame, or a legacy v1 text frame
-/// (accepted read-only, as [`WalRecord::Evolve`]). Every framing, length,
-/// or CRC violation is an error; a frame never decodes "partially".
+/// Decode one typed WAL frame payload. Every version, framing, length, or
+/// CRC violation is an error; a frame never decodes "partially".
 pub fn decode_frame(payload: &[u8]) -> ModelResult<WalRecord> {
     if payload.first() != Some(&FRAME_VERSION) {
-        return decode_v1_frame(payload);
+        return Err(corrupt("wal frame: unknown version byte"));
     }
     if payload.len() < 10 {
         return Err(corrupt("wal frame: truncated typed header"));
@@ -438,23 +429,6 @@ pub fn decode_frame(payload: &[u8]) -> ModelResult<WalRecord> {
     Ok(record)
 }
 
-/// Legacy v1 text frame: `u32 family_len | family | command`.
-fn decode_v1_frame(payload: &[u8]) -> ModelResult<WalRecord> {
-    if payload.len() < 4 {
-        return Err(corrupt("wal frame too short"));
-    }
-    let family_len = u32::from_be_bytes(payload[..4].try_into().unwrap()) as usize;
-    let rest = &payload[4..];
-    if rest.len() < family_len {
-        return Err(corrupt("wal frame family truncated"));
-    }
-    let family = std::str::from_utf8(&rest[..family_len])
-        .map_err(|_| corrupt("wal frame family not utf-8"))?;
-    let command = std::str::from_utf8(&rest[family_len..])
-        .map_err(|_| corrupt("wal frame command not utf-8"))?;
-    Ok(WalRecord::Evolve { family: family.to_string(), command: command.to_string() })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -525,25 +499,17 @@ mod tests {
     }
 
     #[test]
-    fn v1_text_frames_still_decode() {
-        // The PR-2 format: u32 family_len | family | command.
-        let family = b"COURSES";
-        let command = b"delete_attribute units from Course";
-        let mut payload = Vec::new();
-        payload.extend_from_slice(&(family.len() as u32).to_be_bytes());
-        payload.extend_from_slice(family);
-        payload.extend_from_slice(command);
-        assert_eq!(
-            decode_frame(&payload).unwrap(),
-            WalRecord::Evolve {
-                family: "COURSES".into(),
-                command: "delete_attribute units from Course".into(),
-            }
-        );
-    }
-
-    #[test]
     fn every_single_bit_flip_is_detected() {
+        // A well-formed frame of the retired untyped text format
+        // (`u32 family_len | family | command`) has no reader any more.
+        let family = b"COURSES";
+        let mut text_frame = (family.len() as u32).to_be_bytes().to_vec();
+        text_frame.extend_from_slice(family);
+        text_frame.extend_from_slice(b"delete_attribute units from Course");
+        assert!(matches!(
+            decode_frame(&text_frame),
+            Err(ModelError::Storage(StorageError::Corrupt(_)))
+        ));
         for record in sample_records() {
             let good = encode_frame(&record);
             for byte in 0..good.len() {
@@ -580,8 +546,8 @@ mod tests {
         let mut frame = encode_frame(&WalRecord::Checkpoint);
         frame[5] = 0xFF; // body_len low byte
         assert!(decode_frame(&frame).is_err());
-        // A v1 frame with an absurd family length.
-        let v1 = [0x00, 0xFF, 0xFF, 0xFF, b'x'];
-        assert!(decode_frame(&v1).is_err());
+        // An untyped payload with an absurd length prefix.
+        let untyped = [0x00, 0xFF, 0xFF, 0xFF, b'x'];
+        assert!(decode_frame(&untyped).is_err());
     }
 }

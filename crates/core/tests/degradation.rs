@@ -6,7 +6,7 @@
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use tse_core::{DegradedReason, SharedSystem, SystemHealth};
+use tse_core::{DegradedReason, SharedSystem, SystemHealth, TseSystem};
 use tse_object_model::{ModelError, Oid, PropertyDef, Value, ValueType};
 use tse_storage::durable::snapshot_path;
 use tse_storage::FailAction;
@@ -23,7 +23,7 @@ fn tmpdir(name: &str) -> PathBuf {
 /// Open a fresh shared durable system with one class, one view, one object.
 /// No checkpoint: the base schema lives in the WAL until a test asks for one.
 fn seed(dir: &Path) -> (SharedSystem, ViewId, Oid) {
-    let shared = SharedSystem::open(dir).unwrap();
+    let shared = TseSystem::builder(dir).open().unwrap();
     shared
         .define_base_class(
             "Person",
@@ -77,7 +77,7 @@ fn transient_faults_ride_out_within_the_retry_budget() {
     drop(shared);
 
     // Both rode-out writes were really acked: they survive a reopen.
-    let shared = SharedSystem::open(&dir).unwrap();
+    let shared = TseSystem::builder(&dir).open().unwrap();
     let session = shared.session();
     assert_eq!(session.get(v1, bob, "Person", "name").unwrap(), Value::Str("bob".into()));
     assert_eq!(session.get(v1, cyd, "Person", "name").unwrap(), Value::Str("cyd".into()));
@@ -151,7 +151,7 @@ fn disk_full_degrades_to_read_only_and_heals() {
     assert!(journal.contains("health.transition"), "missing health.transition event");
     drop(shared);
 
-    let shared = SharedSystem::open(&dir).unwrap();
+    let shared = TseSystem::builder(&dir).open().unwrap();
     assert_eq!(shared.health(), SystemHealth::Healthy);
     let session = shared.session();
     assert_eq!(session.get(v1, oid, "Person", "name").unwrap(), Value::Str("ann".into()));
@@ -189,7 +189,7 @@ fn exhausted_retries_degrade_and_heal() {
     let jan = shared.writer().create(v1, "Person", &[("name", "jan".into())]).unwrap();
     drop(shared);
 
-    let shared = SharedSystem::open(&dir).unwrap();
+    let shared = TseSystem::builder(&dir).open().unwrap();
     let session = shared.session();
     assert_eq!(session.get(v1, jan, "Person", "name").unwrap(), Value::Str("jan".into()));
 }
@@ -219,7 +219,7 @@ fn permanent_fsync_fault_poisons_and_refuses_heal() {
 
     // Restart-and-recover is the only exit: the reopened system is healthy
     // and serves every write acked before the fault.
-    let shared = SharedSystem::open(&dir).unwrap();
+    let shared = TseSystem::builder(&dir).open().unwrap();
     assert_eq!(shared.health(), SystemHealth::Healthy);
     let session = shared.session();
     assert_eq!(session.get(v1, oid, "Person", "name").unwrap(), Value::Str("ann".into()));
@@ -241,7 +241,7 @@ fn fresh_directory_recovers_from_the_wal_alone() {
 
     assert!(snapshot_files(&dir).is_empty(), "no snapshot may exist before a checkpoint");
 
-    let shared = SharedSystem::open(&dir).unwrap();
+    let shared = TseSystem::builder(&dir).open().unwrap();
     assert!(shared.telemetry().counter("recovery.replayed") >= 4);
     let session = shared.session();
     assert_eq!(session.current_view("VS").unwrap().id, v1);
@@ -268,7 +268,7 @@ fn multi_generation_fallback_and_scrub_quarantine() {
     corrupt(&snapshot_path(&dir, 3));
     corrupt(&snapshot_path(&dir, 2));
 
-    let shared = SharedSystem::open(&dir).unwrap();
+    let shared = TseSystem::builder(&dir).open().unwrap();
     assert_eq!(shared.telemetry().counter("recovery.snapshots_skipped"), 2);
     assert_eq!(shared.generation(), Some(1));
     let session = shared.session();
@@ -321,7 +321,7 @@ fn full_replay_rebuilds_when_every_snapshot_is_corrupt() {
     assert!(snapshot_path(&dir, 1).exists());
     corrupt(&snapshot_path(&dir, 1));
 
-    let shared = SharedSystem::open(&dir).unwrap();
+    let shared = TseSystem::builder(&dir).open().unwrap();
     assert_eq!(shared.telemetry().counter("recovery.full_replay"), 1);
     assert_eq!(shared.telemetry().counter("recovery.snapshots_skipped"), 1);
     assert_eq!(shared.generation(), Some(1), "corrupt generation number stays reserved");

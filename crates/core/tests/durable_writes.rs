@@ -4,7 +4,7 @@
 
 use std::path::{Path, PathBuf};
 
-use tse_core::{SchemaChange, SharedSystem};
+use tse_core::{SchemaChange, SharedSystem, TseSystem};
 use tse_object_model::{PropertyDef, Value, ValueType};
 use tse_storage::{FailAction, StoreConfig};
 use tse_view::ViewId;
@@ -18,15 +18,14 @@ fn tmpdir(name: &str) -> PathBuf {
 }
 
 /// Open a durable shared system, build the base schema and one view, and
-/// checkpoint so the baseline is on disk (schema setup itself is a
-/// metadata write, persisted by checkpoints, not the WAL).
+/// checkpoint so the baseline is on disk and the WAL starts empty.
 fn seed(dir: &Path) -> (SharedSystem, ViewId) {
-    let shared = SharedSystem::open(dir).unwrap();
+    let shared = TseSystem::builder(dir).open().unwrap();
     seed_schema(&shared)
 }
 
 fn seed_with(dir: &Path, config: StoreConfig) -> (SharedSystem, ViewId) {
-    let shared = SharedSystem::builder().dir(dir).store_config(config).open().unwrap();
+    let shared = TseSystem::builder(dir).store_config(config).open().unwrap();
     seed_schema(&shared)
 }
 
@@ -64,9 +63,9 @@ fn acked_data_writes_replay_after_crash() {
     drop(w);
     drop(shared);
 
-    let shared = SharedSystem::open(&dir).unwrap();
+    let shared = TseSystem::builder(&dir).open().unwrap();
     let telemetry = shared.telemetry();
-    assert_eq!(telemetry.counter("recovery.replayed_frames"), 6);
+    assert_eq!(telemetry.counter("recovery.replayed"), 6);
     let s = shared.session();
     // Replay reissued the original oids bit-for-bit.
     assert_eq!(s.get(view, a, "Student", "name").unwrap(), Value::Str("ann".into()));
@@ -101,8 +100,8 @@ fn structured_evolve_is_logged_and_replays_after_simulated_crash() {
     assert_eq!(shared.epoch(), epoch_before, "no epoch published for the crashed change");
     drop(shared);
 
-    let shared = SharedSystem::open(&dir).unwrap();
-    assert_eq!(shared.telemetry().counter("recovery.replayed_frames"), 1);
+    let shared = TseSystem::builder(&dir).open().unwrap();
+    assert_eq!(shared.telemetry().counter("recovery.replayed"), 1);
     let mut s = shared.session();
     let versions = s.meta().views().versions("VS").unwrap().to_vec();
     assert_eq!(versions.len(), 2, "the structured change replayed");
@@ -131,7 +130,7 @@ fn structured_evolve_round_trips_through_the_log() {
     let oid = shared.writer().create(v2, "Student", &[("name", "ann".into())]).unwrap();
     drop(shared);
 
-    let shared = SharedSystem::open(&dir).unwrap();
+    let shared = TseSystem::builder(&dir).open().unwrap();
     let s = shared.session();
     assert_eq!(
         s.get(v2, oid, "Student", "motto").unwrap(),
@@ -173,7 +172,7 @@ fn fsync_failure_poisons_the_data_plane_fail_stop() {
     // Reopening from disk recovers every *acked* write.
     drop(w);
     drop(shared);
-    let shared = SharedSystem::open(&dir).unwrap();
+    let shared = TseSystem::builder(&dir).open().unwrap();
     let names: Vec<_> = shared
         .session()
         .extent(view, "Student")
@@ -211,7 +210,7 @@ fn wal_crossing_threshold_triggers_an_automatic_checkpoint() {
     // Crash + reopen: snapshots and the WAL tail together hold all 64.
     drop(w);
     drop(shared);
-    let shared = SharedSystem::open(&dir).unwrap();
+    let shared = TseSystem::builder(&dir).open().unwrap();
     assert_eq!(shared.session().extent(view, "Student").unwrap().len(), 64);
 }
 
@@ -237,7 +236,7 @@ fn concurrent_writers_group_commit_and_all_survive() {
     assert!(sizes.count >= 1);
     drop(shared);
 
-    let shared = SharedSystem::open(&dir).unwrap();
+    let shared = TseSystem::builder(&dir).open().unwrap();
     assert_eq!(
         shared.session().extent(view, "Student").unwrap().len(),
         threads * per,
@@ -257,9 +256,9 @@ fn checkpoint_markers_survive_a_crashed_checkpoint_and_are_skipped() {
     drop(w);
     drop(shared);
 
-    let shared = SharedSystem::open(&dir).unwrap();
+    let shared = TseSystem::builder(&dir).open().unwrap();
     // The marker is forensic only: replay skips it, redoes the create.
-    assert_eq!(shared.telemetry().counter("recovery.replayed_frames"), 1);
+    assert_eq!(shared.telemetry().counter("recovery.replayed"), 1);
     assert_eq!(shared.telemetry().counter("recovery.skipped"), 0);
     assert_eq!(
         shared.session().get(view, oid, "Student", "name").unwrap(),
@@ -276,8 +275,8 @@ fn evolve_cmd_and_data_writes_interleave_durably() {
     shared.writer().set(v2, a, "Student", &[("register", Value::Bool(true))]).unwrap();
     drop(shared);
 
-    let shared = SharedSystem::open(&dir).unwrap();
-    assert_eq!(shared.telemetry().counter("recovery.replayed_frames"), 3);
+    let shared = TseSystem::builder(&dir).open().unwrap();
+    assert_eq!(shared.telemetry().counter("recovery.replayed"), 3);
     let s = shared.session();
     assert_eq!(s.get(v2, a, "Student", "register").unwrap(), Value::Bool(true));
     assert_eq!(s.meta().views().versions("VS").unwrap().len(), 2);

@@ -295,36 +295,6 @@ impl Database {
         self.val_gen.fetch_add(1, Ordering::AcqRel);
     }
 
-    /// A private copy of this database for control-plane work: the schema
-    /// clone is shallow (`Arc`-shared classes, copy-on-write), the store
-    /// fork carries segments and cumulative counters, and the telemetry
-    /// domain and failpoint registry are the **same shared handles** — a
-    /// schema change running against the fork records into the same journal
-    /// and honours the same armed failpoints as the original.
-    ///
-    /// The caller must quiesce data-plane writers for the duration of the
-    /// call (the `SharedSystem` swap latch does) so the object map and the
-    /// store fork describe the same instant.
-    ///
-    /// Fails if a schema-evolution transaction is open (the store refuses
-    /// to fork mid-transaction).
-    pub fn fork(&self) -> ModelResult<Database> {
-        Ok(Database {
-            schema: self.schema.clone(),
-            store: self.store.fork()?,
-            objects: Arc::new(RwLock::new(self.objects.read().clone())),
-            next_oid: AtomicU64::new(self.next_oid.load(Ordering::Acquire)),
-            // One generation ahead of the original so extent-cache entries
-            // can never be confused between the two copies.
-            mem_gen: AtomicU64::new(self.mem_gen.load(Ordering::Acquire) + 1),
-            val_gen: AtomicU64::new(self.val_gen.load(Ordering::Acquire) + 1),
-            late_segments: Arc::new(RwLock::new(self.late_segments.read().clone())),
-            extent_cache: Mutex::new(ExtentCache::default()),
-            slice_hops: AtomicU64::new(self.slice_hops.load(Ordering::Relaxed)),
-            telemetry: self.telemetry.clone(),
-        })
-    }
-
     /// A **copy-free** fork: a second handle onto the *same* store
     /// contents, object map, and late-segment overlay, sharing the
     /// original's epoch clock. The schema is still cloned (shallow,
@@ -333,12 +303,13 @@ impl Database {
     /// membership mutations are MVCC versions — undo-logged for rollback,
     /// invisible to pinned readers until published.
     ///
-    /// Cost is a handful of `Arc` clones regardless of data volume, which
-    /// is what retires the physical store copy for capacity-preserving
-    /// evolutions. The caller must quiesce data-plane writers (the
-    /// `SharedSystem` swap latch does) for the fork's lifetime — the
-    /// handles are shared, so concurrent writers through both would
-    /// interleave.
+    /// Cost is a handful of `Arc` clones regardless of data volume. The
+    /// telemetry domain and failpoint registry are the **same shared
+    /// handles**, so a schema change running against the fork records into
+    /// the same journal and honours the same armed failpoints. The caller
+    /// must quiesce data-plane writers (the `SharedSystem` swap latch does)
+    /// for the fork's lifetime — the handles are shared, so concurrent
+    /// writers through both would interleave.
     ///
     /// Fails if a schema-evolution transaction is open.
     pub fn fork_shared(&self) -> ModelResult<Database> {

@@ -478,9 +478,8 @@ fn fork_mid_write_batch_sees_all_or_none() {
             "write batch torn across an epoch swap"
         );
     }
-    // Each evolve forks copy-free: the shared fork never quiesces the
-    // stripes for a physical copy, and the version chains it layered on
-    // the live store are observable as the `mvcc.versions` gauge.
+    // Each evolve forks copy-free: the version chains it layered on the
+    // live store are observable as the `mvcc.versions` gauge.
     let snap = shared.telemetry().snapshot();
     assert!(
         snap.counters.contains_key("mvcc.versions"),
