@@ -314,7 +314,7 @@ fn fork_cost_arm(quick: bool) -> JsonValue {
         sys.create(v, "Bulk", &[("payload", Value::Int(i as i64))]).unwrap();
     }
     let t0 = Instant::now();
-    let pin = sys.fork_shared().expect("shared fork");
+    let pin = sys.fork_shared();
     let shared_ns = (t0.elapsed().as_nanos() as u64).max(1);
     drop(pin);
     println!("fork cost over {records} records: version-pin {shared_ns} ns");

@@ -42,14 +42,14 @@
 //! store's [`EpochClock`]: all of its `get`/`extent`/`select_where`/
 //! `invoke` calls resolve record versions and object membership at the
 //! pinned epoch, for the session's whole lifetime — true snapshot
-//! isolation for readers. Write batches ([`WriteSession`] ops, evolutions)
-//! run under a `WriteTicket`, so a session opened mid-batch observes none
+//! isolation for readers. Write batches ([`WriteSession`] ops) run under a
+//! `WriteTicket`, so a session opened mid-batch observes none
 //! of it and one opened after observes all of it; writers never block on
 //! readers, they just stamp new versions. The evolve path forks with
 //! [`TseSystem::fork_shared`], a handful of `Arc` clones that copy no
 //! data, and superseded versions are reclaimed by
-//! [`SharedSystem::gc_now`] (or opportunistically when sessions drop) once
-//! the oldest pin advances past them (`mvcc.*` telemetry).
+//! [`SharedSystem::gc_now`] (or opportunistically when sessions drop or
+//! refresh) once the oldest pin advances past them (`mvcc.*` telemetry).
 //!
 //! Lock taxonomy (acquisition order, coarse → fine):
 //! 1. `control` mutex — serializes schema changes and durability
@@ -539,19 +539,11 @@ impl SharedSystem {
         // The fork is **copy-free**: it shares the store contents and
         // object map with the live system (MVCC version chains keep
         // pinned readers on their epoch), so fork cost no longer scales
-        // with data volume. Everything the evolution installs is stamped
-        // under one write ticket: no reader can pin an epoch that sees a
-        // half-applied evolution, and a failed run's versions are popped
-        // by the undo log before the ticket is released.
-        let (clock, mut private) = {
-            let sys = self.read_timed();
-            (Arc::clone(sys.db().store().clock()), sys.fork_shared()?)
-        };
-        let ticket = clock.begin_write();
-        let report = {
-            let _stamp = WriteStampGuard::new(ticket.stamp());
-            private.evolve(family, change)
-        }?;
+        // with data volume. The evolution itself writes no record, so it
+        // needs no write ticket: what the swap publishes is metadata only,
+        // and a failed run restores the fork's metadata and is dropped.
+        let mut private = self.read_timed().fork_shared();
+        let report = private.evolve(family, change)?;
 
         // Pre-warm the fork's extent cache for the classes of the evolved
         // family's current view, so the first extent/select_where after the
@@ -560,14 +552,6 @@ impl SharedSystem {
             let classes: Vec<ClassId> = view.classes.iter().copied().collect();
             private.db().warm_extents(&classes);
         }
-
-        // Publish the evolution's versions before the metadata swap:
-        // sessions opened after the swap must pin an epoch that already
-        // includes everything the evolution installed. (Evolution is
-        // capacity-augmenting, so a session pinning between here and the
-        // swap sees the new record versions under the old metadata —
-        // harmless, the old schema simply doesn't name the new capacity.)
-        ticket.end();
 
         // Swap-in: build the next snapshot *outside* the exclusive
         // section, then swap the system pointer and publish the epoch.
@@ -829,10 +813,13 @@ fn with_data_logged<R>(
     // pins an epoch that sees all of the batch or none of it. The ticket
     // outlives the WAL append, so a batch becomes visible only once acked.
     let ticket = sys.db().store().clock().begin_write();
+    // Every fault a data op meets is counted here, once: an injected fault
+    // inside the op on this path, one in the WAL append below.
     let out = {
         let _stamp = WriteStampGuard::new(ticket.stamp());
         op(&sys)
-    }?;
+    }
+    .inspect_err(|e| note_fault(&inner.telemetry, e))?;
     if let Some(wal) = &inner.wal {
         wal.append(&encode_frame(&record(&out)))
             .map_err(ModelError::Storage)
@@ -916,9 +903,22 @@ fn own_pairs(pairs: &[(&str, Value)]) -> Vec<(String, Value)> {
     pairs.iter().map(|(n, v)| (n.to_string(), v.clone())).collect()
 }
 
-/// Superseded-version backlog above which a dropping [`ReadSession`] runs
-/// an opportunistic GC pass (its pin may have been the watermark holder).
+/// Superseded-version backlog above which a [`ReadSession`] that releases
+/// its pin (by dropping or refreshing) runs an opportunistic GC pass: its
+/// pin may have been the watermark holder.
 const GC_BACKLOG_THRESHOLD: u64 = 256;
+
+/// The opportunistic GC pass run after a session releases a pin. `try_read`
+/// keeps the caller non-blocking — if an evolution swap holds the system
+/// lock, the backlog just waits for the next release.
+fn gc_if_backlogged(inner: &SharedInner) {
+    if let Some(sys) = inner.system.try_read() {
+        if sys.db().store().superseded_versions() > GC_BACKLOG_THRESHOLD {
+            let watermark = sys.db().store().clock().gc_watermark();
+            sys.db().gc(watermark);
+        }
+    }
+}
 
 impl ReadSession {
     /// The metadata snapshot this session is pinned to.
@@ -944,6 +944,7 @@ impl ReadSession {
     pub fn refresh(&mut self) {
         self.meta = self.inner.meta.read().clone();
         self.pin = Some(self.clock.pin());
+        gc_if_backlogged(&self.inner);
     }
 
     /// Guard that routes every store/object-model read inside one session
@@ -1041,16 +1042,7 @@ impl Drop for ReadSession {
         self.inner
             .telemetry
             .set_gauge("mvcc.pinned_epochs", self.clock.pinned_epochs() as u64);
-        // Opportunistic GC: if this was the oldest pin and enough
-        // superseded versions have piled up, reclaim them now. `try_read`
-        // keeps Drop non-blocking — if an evolution swap holds the system
-        // lock, the backlog just waits for the next session to drop.
-        if let Some(sys) = self.inner.system.try_read() {
-            if sys.db().store().superseded_versions() > GC_BACKLOG_THRESHOLD {
-                let watermark = sys.db().store().clock().gc_watermark();
-                sys.db().gc(watermark);
-            }
-        }
+        gc_if_backlogged(&self.inner);
     }
 }
 
@@ -1088,9 +1080,6 @@ impl WriteSession {
             |sys| tse_algebra::create(sys.db(), &policy, class, values),
             |oid| WalRecord::Create { class, oid: *oid, values: own_pairs(values) },
         );
-        if let Err(e) = &out {
-            note_fault(&self.inner.telemetry, e);
-        }
         observe_op(&self.inner.telemetry, "create", started);
         maybe_autocheckpoint(&self.inner);
         out
@@ -1118,9 +1107,6 @@ impl WriteSession {
                 from_update_where: false,
             },
         );
-        if let Err(e) = &out {
-            note_fault(&self.inner.telemetry, e);
-        }
         observe_op(&self.inner.telemetry, "set", started);
         maybe_autocheckpoint(&self.inner);
         out
@@ -1221,3 +1207,38 @@ const _: () = {
     assert_send_sync::<WriteSession>();
     assert_send_sync::<MetaSnapshot>();
 };
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tse_object_model::{PropertyDef, ValueType};
+
+    fn superseded(shared: &SharedSystem) -> u64 {
+        shared.inner.system.read().db().store().superseded_versions()
+    }
+
+    #[test]
+    fn refresh_only_reader_keeps_the_version_backlog_bounded() {
+        let shared = SharedSystem::new();
+        let counter = vec![PropertyDef::stored("n", ValueType::Int, Value::Int(0))];
+        shared.define_base_class("Counter", &[], counter).unwrap();
+        let view = shared.create_view("VS", &["Counter"]).unwrap();
+        let writer = shared.writer();
+        let oid = writer.create(view, "Counter", &[]).unwrap();
+        // The reader never drops: only `refresh` can release its old pins.
+        let mut reader = shared.session();
+        let mut peak = 0;
+        for i in 0..4 * GC_BACKLOG_THRESHOLD as i64 {
+            writer.set(view, oid, "Counter", &[("n", Value::Int(i))]).unwrap();
+            if i % 8 == 0 {
+                reader.refresh();
+                assert_eq!(reader.get(view, oid, "Counter", "n").unwrap(), Value::Int(i));
+            }
+            peak = peak.max(superseded(&shared));
+        }
+        assert!(
+            peak <= GC_BACKLOG_THRESHOLD + 16,
+            "backlog reached {peak} versions beside a refreshing reader"
+        );
+    }
+}

@@ -12,7 +12,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use tse_algebra::{define_vc, ClassRef, Query, Stmt, UpdatePolicy};
 use tse_classifier::classify;
 use tse_object_model::{
-    ClassId, Database, EvolutionTxn, ModelError, ModelResult, Oid, PendingProp, Value,
+    ClassId, Database, ModelError, ModelResult, Oid, PendingProp, Schema, Value,
 };
 use tse_storage::{FailpointRegistry, StorageError, StoreConfig};
 use tse_view::{ViewId, ViewManager, ViewSchema};
@@ -81,11 +81,12 @@ pub struct TseSystem {
     pub(crate) policy: UpdatePolicy,
 }
 
-/// Pre-change state captured by the outermost `evolve` call: the store
-/// transaction (which undoes record/segment mutations) plus clones of the
-/// cheap control-plane structures the undo log does not cover.
+/// Pre-change state captured once per top-level `evolve` call: clones of
+/// everything a schema change mutates. A change derives classes and view
+/// versions but never writes a stored record, so these three are the whole
+/// of what a rollback has to put back.
 struct ChangeCheckpoint {
-    txn: EvolutionTxn,
+    schema: Schema,
     views: ViewManager,
     policy: UpdatePolicy,
 }
@@ -120,17 +121,15 @@ impl TseSystem {
     /// schema/view/policy metadata is (shallowly) cloned — and the
     /// telemetry domain and failpoint registry are the *same* handles, so
     /// spans from the fork land in the same journal and armed failpoints
-    /// fire inside it. Mutations the fork installs are MVCC versions on the
-    /// shared data, invisible to readers pinned before them and
-    /// undo-poppable on rollback, so the swap-in is a metadata publish, not
-    /// a data migration. The caller must quiesce writers for the fork's
-    /// lifetime. Fails if an evolution transaction is open.
-    pub fn fork_shared(&self) -> ModelResult<TseSystem> {
-        Ok(TseSystem {
-            db: self.db.fork_shared()?,
+    /// fire inside it. A schema change writes no stored record, so the
+    /// swap-in is a metadata publish, not a data migration. The caller must
+    /// quiesce writers for the fork's lifetime.
+    pub fn fork_shared(&self) -> TseSystem {
+        TseSystem {
+            db: self.db.fork_shared(),
             views: self.views.clone(),
             policy: self.policy.clone(),
-        })
+        }
     }
 
     /// Mutable database access (base-schema construction).
@@ -256,33 +255,54 @@ impl TseSystem {
     /// expand into primitive sequences (§6.9); the report describes the last
     /// primitive.
     ///
-    /// Every call runs under an `evolve` telemetry span (composite macros
-    /// nest one `evolve` span per expanded primitive), bumps the `evolve.*`
-    /// counters, and republishes the store's `store.*` gauges, so the
-    /// journal records the full expansion tree of each change.
-    ///
-    /// Each top-level call is **all-or-nothing**: the outermost frame opens
-    /// a storage transaction and checkpoints the schema, views, and policy;
-    /// on any error the store rolls record/segment mutations back through
-    /// its undo log and the control-plane clones are restored, so no
-    /// partially created classes survive a failed change. The recursive
-    /// sub-evolves a composite macro expands into join the outer
-    /// transaction and leave rollback to this frame.
+    /// Each call is **all-or-nothing**: it checkpoints the schema, views,
+    /// and policy once, and on any error other than a simulated crash puts
+    /// the checkpoint back, so no partially created classes survive a failed
+    /// change. Nothing else needs undoing — a schema change derives classes
+    /// and view versions but never writes a stored record. A simulated crash
+    /// deliberately leaves the in-memory state torn mid-change: recovery is
+    /// exercised by re-opening the system from disk, not by rollback.
     pub fn evolve(&mut self, family: &str, change: &SchemaChange) -> ModelResult<EvolutionReport> {
         let telemetry = self.db.telemetry().clone();
-        // One trace per top-level change: a composite macro's recursive
-        // sub-evolves re-enter the same trace, so the whole expansion tree
-        // shares one trace id in the journal.
+        // One trace per top-level change: the whole expansion tree of a
+        // composite macro shares one trace id in the journal.
         let _trace = telemetry.ensure_trace("evolve");
-        let checkpoint = if self.db.in_evolution() {
-            None
-        } else {
-            Some(ChangeCheckpoint {
-                txn: self.db.begin_evolution()?,
-                views: self.views.clone(),
-                policy: self.policy.clone(),
-            })
+        let checkpoint = ChangeCheckpoint {
+            schema: self.db.schema().clone(),
+            views: self.views.clone(),
+            policy: self.policy.clone(),
         };
+        let out = self.evolve_step(family, change);
+        match &out {
+            Ok(_) => self.db.publish_store_stats(),
+            Err(e) if is_crash(e) => note_fault(&telemetry, e),
+            Err(e) => {
+                // Faults are noted here rather than per step, so one inside
+                // a macro's expansion counts once, not once per level.
+                note_fault(&telemetry, e);
+                self.db.restore_schema(checkpoint.schema);
+                self.views = checkpoint.views;
+                self.policy = checkpoint.policy;
+                telemetry.incr("evolve.rollbacks", 1);
+                telemetry.event(
+                    "evolve.rollback",
+                    &[
+                        ("family", family.into()),
+                        ("op", change.op_name().into()),
+                        ("error", e.to_string().into()),
+                    ],
+                );
+            }
+        }
+        out
+    }
+
+    /// One step of a change, with no rollback of its own. Runs under an
+    /// `evolve` telemetry span and bumps the `evolve.*` counters; composite
+    /// macros recurse into this once per expanded primitive, so the journal
+    /// records the full expansion tree of each change.
+    fn evolve_step(&mut self, family: &str, change: &SchemaChange) -> ModelResult<EvolutionReport> {
+        let telemetry = self.db.telemetry().clone();
         let span = telemetry.span_with(
             "evolve",
             &[("family", family.into()), ("op", change.op_name().into())],
@@ -298,39 +318,12 @@ impl TseSystem {
                 telemetry.incr("evolve.count", 1);
                 telemetry.incr("evolve.classes_created", report.created.len() as u64);
                 telemetry.incr("evolve.duplicates_folded", report.duplicates_folded as u64);
-                if let Some(cp) = checkpoint {
-                    self.db.commit_evolution(cp.txn)?;
-                }
-                self.db.publish_store_stats();
                 Ok(report)
             }
             Err(e) => {
                 span.record("error", true);
                 span.finish();
                 telemetry.incr("evolve.errors", 1);
-                note_fault(&telemetry, &e);
-                if let Some(cp) = checkpoint {
-                    if is_crash(&e) {
-                        // A simulated crash deliberately leaves the
-                        // in-memory state torn mid-change (the transaction
-                        // stays open, poisoning further evolves): recovery
-                        // is exercised by re-opening the system from disk,
-                        // not by in-memory rollback.
-                    } else {
-                        self.views = cp.views;
-                        self.policy = cp.policy;
-                        self.db.rollback_evolution(cp.txn)?;
-                        telemetry.incr("evolve.rollbacks", 1);
-                        telemetry.event(
-                            "evolve.rollback",
-                            &[
-                                ("family", family.into()),
-                                ("op", change.op_name().into()),
-                                ("error", e.to_string().into()),
-                            ],
-                        );
-                    }
-                }
                 Err(e)
             }
         }
@@ -344,14 +337,14 @@ impl TseSystem {
         match change {
             SchemaChange::InsertClass { name, sup, sub } => {
                 // §6.9.1: add_class + add_edge.
-                self.evolve(
+                self.evolve_step(
                     family,
                     &SchemaChange::AddClass {
                         name: name.clone(),
                         connected_to: Some(sup.clone()),
                     },
                 )?;
-                self.evolve(
+                self.evolve_step(
                     family,
                     &SchemaChange::AddEdge { sup: name.clone(), sub: sub.clone() },
                 )
@@ -371,7 +364,7 @@ impl TseSystem {
                     .map(|s| view.local_name(&self.db, s))
                     .collect::<ModelResult<_>>()?;
                 for v in &subs {
-                    self.evolve(
+                    self.evolve_step(
                         family,
                         &SchemaChange::DeleteEdge {
                             sup: class.clone(),
@@ -380,7 +373,7 @@ impl TseSystem {
                         },
                     )?;
                     for u in &sups {
-                        self.evolve(
+                        self.evolve_step(
                             family,
                             &SchemaChange::AddEdge { sup: u.clone(), sub: v.clone() },
                         )?;
@@ -388,7 +381,7 @@ impl TseSystem {
                 }
                 for (i, u) in sups.iter().enumerate() {
                     let is_last = i + 1 == sups.len();
-                    self.evolve(
+                    self.evolve_step(
                         family,
                         &SchemaChange::DeleteEdge {
                             sup: u.clone(),
@@ -398,7 +391,7 @@ impl TseSystem {
                     )?;
                     let _ = is_last;
                 }
-                self.evolve(family, &SchemaChange::DeleteClass { class: class.clone() })
+                self.evolve_step(family, &SchemaChange::DeleteClass { class: class.clone() })
             }
             SchemaChange::RenameClass { old, new } => {
                 // A pure view change: same classes, updated rename map.

@@ -281,3 +281,63 @@ fn evolve_cmd_and_data_writes_interleave_durably() {
     assert_eq!(s.get(v2, a, "Student", "register").unwrap(), Value::Bool(true));
     assert_eq!(s.meta().views().versions("VS").unwrap().len(), 2);
 }
+
+#[test]
+fn every_data_op_fault_is_counted_exactly_once() {
+    let dir = tmpdir("fault_once");
+    let (shared, view) = seed(&dir);
+    let w = shared.writer();
+    let kept = w.create(view, "Student", &[("age", Value::Int(21))]).unwrap();
+    // Created without values, so it has no slice yet: its first attribute
+    // write allocates a record and passes the `storage.insert` site.
+    let bare = w.create(view, "Person", &[]).unwrap();
+
+    type Op<'a> = Box<dyn Fn() -> tse_object_model::ModelResult<()> + 'a>;
+    let cases: Vec<(&str, &str, Op)> = vec![
+        (
+            "storage.insert",
+            "create",
+            Box::new(|| w.create(view, "Student", &[("age", Value::Int(3))]).map(drop)),
+        ),
+        (
+            "storage.insert",
+            "set",
+            Box::new(|| w.set(view, bare, "Person", &[("age", Value::Int(5))])),
+        ),
+        (
+            "storage.insert",
+            "update_where",
+            Box::new(|| {
+                w.update_where(view, "Person", "age == 0", &[("name", "x".into())]).map(drop)
+            }),
+        ),
+        ("durable.wal_append", "create", Box::new(|| w.create(view, "Student", &[]).map(drop))),
+        (
+            "durable.wal_append",
+            "set",
+            Box::new(|| w.set(view, kept, "Student", &[("age", Value::Int(22))])),
+        ),
+        (
+            "durable.wal_append",
+            "update_where",
+            Box::new(|| {
+                w.update_where(view, "Student", "age == 22", &[("age", Value::Int(23))]).map(drop)
+            }),
+        ),
+        ("durable.wal_append", "add_to", Box::new(|| w.add_to(view, &[bare], "Student"))),
+        ("durable.wal_append", "remove_from", Box::new(|| w.remove_from(view, &[bare], "Student"))),
+        ("durable.wal_append", "delete_objects", Box::new(|| w.delete_objects(&[kept]))),
+    ];
+    for (site, name, op) in cases {
+        let before = shared.telemetry().counter("fault.injected");
+        shared.failpoints().arm(site, 1, FailAction::Error);
+        let err = op().expect_err(name);
+        shared.failpoints().clear();
+        assert!(err.to_string().contains("injected fault"), "{name} at {site}: {err}");
+        assert_eq!(
+            shared.telemetry().counter("fault.injected"),
+            before + 1,
+            "{name} at {site} must count its fault once"
+        );
+    }
+}

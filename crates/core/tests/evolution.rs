@@ -4,6 +4,7 @@
 
 use tse_core::{SchemaChange, TseSystem};
 use tse_object_model::{PropertyDef, Value, ValueType};
+use tse_storage::FailAction;
 
 /// The university database of Figure 2 (restricted to the classes the §6
 /// examples use), with the view VS1 = {Person, Student, TA} of Figure 3.
@@ -532,6 +533,87 @@ fn failed_macro_evolve_rolls_back_everything() {
     assert!(tse.telemetry().counter("evolve.rollbacks") >= 1);
     // The rolled-back system still evolves normally afterwards.
     tse.evolve_cmd("VS", "add_class Ok connected_to Person").unwrap();
+}
+
+/// Everything about the store a schema change could disturb: record
+/// allocation, free and write counters, the segment list, the superseded
+/// version backlog, and the MVCC clock's stable frontier.
+fn store_footprint(tse: &TseSystem) -> (u64, u64, u64, Vec<String>, u64, u64) {
+    let store = tse.db().store();
+    let stats = store.stats();
+    (
+        stats.records_allocated,
+        stats.records_freed,
+        stats.record_writes,
+        store.segments().into_iter().map(|(id, name)| format!("{}:{name}", id.0)).collect(),
+        store.version_backlog(),
+        store.clock().stable(),
+    )
+}
+
+/// The invariant rollback rests on: a TSE schema change only derives
+/// classes and view versions, so neither a successful change (every
+/// primitive, both macros, a rename) nor a failed one writes anything to
+/// the shared store.
+#[test]
+fn schema_changes_never_touch_the_store() {
+    let mut tse = university();
+    let v = tse.create_view("VS", &["Person", "Student", "TA", "Grad"]).unwrap();
+    let p = tse.create(v, "Person", &[("name", "pat".into()), ("age", Value::Int(40))]).unwrap();
+    let s = tse.create(v, "Student", &[("gpa", Value::Float(3.1))]).unwrap();
+    let t = tse.create(v, "TA", &[("lecture", "db".into())]).unwrap();
+    let g = tse.create(v, "Grad", &[("age", Value::Int(27))]).unwrap();
+    tse.set(v, s, "Student", &[("age", Value::Int(20))]).unwrap();
+    tse.set(v, t, "TA", &[("gpa", Value::Float(3.9))]).unwrap();
+    tse.delete_objects(&[g]).unwrap();
+    assert!(tse.db().store().version_backlog() > 0, "populated store carries history");
+
+    let changes = [
+        "add_attribute credits: int = 3 to Student",
+        "delete_attribute gpa from Student",
+        "add_method is_adult: bool := age >= 18 to Person",
+        "delete_method is_adult from Person",
+        "add_class Alumni connected_to Person",
+        "add_edge Alumni - Grad",
+        "delete_edge Alumni - Grad",
+        "delete_class Alumni",
+        "insert_class Assistant between Student - TA",
+        "rename_class TA to Tutor",
+    ];
+    for cmd in changes {
+        let before = store_footprint(&tse);
+        tse.evolve_cmd("VS", cmd).unwrap_or_else(|e| panic!("{cmd}: {e}"));
+        assert_eq!(store_footprint(&tse), before, "{cmd} touched the store");
+    }
+    let before = store_footprint(&tse);
+    tse.evolve("VS", &SchemaChange::DeleteClass2 { class: "Assistant".into() }).unwrap();
+    assert_eq!(store_footprint(&tse), before, "delete_class_2 touched the store");
+
+    // One failing change per evolution failpoint site, plus a macro whose
+    // first primitive succeeds before its second one fails.
+    let failing = [
+        ("evolve.translate", 1, "add_attribute x: int to Person"),
+        ("evolve.classify", 1, "add_attribute x: int to Person"),
+        ("evolve.view_regen", 1, "delete_attribute age from Person"),
+        ("evolve.swap_in", 1, "rename_class Tutor to Helper"),
+        ("evolve.classify", 2, "insert_class Mid between Person - Student"),
+    ];
+    for (site, hit, cmd) in failing {
+        let before = store_footprint(&tse);
+        let versions = tse.views().versions("VS").unwrap().len();
+        let faults = tse.telemetry().counter("fault.injected");
+        tse.failpoints().arm(site, hit, FailAction::Error);
+        assert!(tse.evolve_cmd("VS", cmd).is_err(), "{site} did not fail {cmd}");
+        tse.failpoints().clear();
+        assert_eq!(tse.telemetry().counter("fault.injected"), faults + 1, "{cmd} at {site}");
+        assert_eq!(store_footprint(&tse), before, "failed {cmd} at {site} touched the store");
+        assert_eq!(tse.views().versions("VS").unwrap().len(), versions, "{cmd} left a version");
+    }
+
+    // The data is still all there and readable through the latest view.
+    let latest = tse.current_view("VS").unwrap().id;
+    assert_eq!(tse.get(latest, p, "Person", "name").unwrap(), Value::Str("pat".into()));
+    assert_eq!(tse.get(latest, t, "Tutor", "lecture").unwrap(), Value::Str("db".into()));
 }
 
 #[test]

@@ -31,7 +31,7 @@ use parking_lot::{Mutex, RwLock};
 
 use tse_storage::{
     current_read_epoch, current_write_stamp, FailpointRegistry, RecordId, SegmentId, SliceStore,
-    StorageError, StoreConfig, StoreStats, TxnToken,
+    StorageError, StoreConfig, StoreStats,
 };
 
 use crate::class::ClassKind;
@@ -158,15 +158,6 @@ pub struct SlicingStats {
     pub slice_hops: u64,
     /// Classes in the global schema.
     pub classes: u64,
-}
-
-/// An open schema-evolution transaction: the store's undo-log token plus
-/// the schema checkpoint taken when the transaction began. Obtained from
-/// [`Database::begin_evolution`] and consumed by `commit_evolution` /
-/// `rollback_evolution`.
-pub struct EvolutionTxn {
-    token: TxnToken,
-    schema: Schema,
 }
 
 /// The object database (slicing backend).
@@ -299,9 +290,8 @@ impl Database {
     /// contents, object map, and late-segment overlay, sharing the
     /// original's epoch clock. The schema is still cloned (shallow,
     /// copy-on-write classes): an evolution mutates the fork's schema
-    /// privately and the swap-in publishes it, while its store and
-    /// membership mutations are MVCC versions — undo-logged for rollback,
-    /// invisible to pinned readers until published.
+    /// privately and the swap-in publishes it; a schema change writes no
+    /// record and no membership, so the shared store needs no rollback.
     ///
     /// Cost is a handful of `Arc` clones regardless of data volume. The
     /// telemetry domain and failpoint registry are the **same shared
@@ -310,12 +300,10 @@ impl Database {
     /// must quiesce data-plane writers (the `SharedSystem` swap latch does)
     /// for the fork's lifetime — the handles are shared, so concurrent
     /// writers through both would interleave.
-    ///
-    /// Fails if a schema-evolution transaction is open.
-    pub fn fork_shared(&self) -> ModelResult<Database> {
-        Ok(Database {
+    pub fn fork_shared(&self) -> Database {
+        Database {
             schema: self.schema.clone(),
-            store: self.store.fork_shared()?,
+            store: self.store.fork_shared(),
             objects: Arc::clone(&self.objects),
             next_oid: AtomicU64::new(self.next_oid.load(Ordering::Acquire)),
             mem_gen: AtomicU64::new(self.mem_gen.load(Ordering::Acquire) + 1),
@@ -324,54 +312,30 @@ impl Database {
             extent_cache: Mutex::new(ExtentCache::default()),
             slice_hops: AtomicU64::new(self.slice_hops.load(Ordering::Relaxed)),
             telemetry: self.telemetry.clone(),
-        })
+        }
     }
 
     /// The write stamp for a membership mutation: the ambient batch stamp
-    /// when a `WriteStampGuard` is active (sessions, evolutions), else a
+    /// when a `WriteStampGuard` is active (write sessions), else a
     /// fresh solo stamp from the store's clock.
     fn membership_stamp(&self) -> u64 {
         current_write_stamp().unwrap_or_else(|| self.store.clock().solo_stamp())
     }
 
-    // ----- transactional schema evolution -----------------------------------
+    // ----- schema-change rollback ---------------------------------------------
 
-    /// Begin a schema-evolution transaction: open the store's undo-log
-    /// transaction and checkpoint the schema. The TSEM calls this once per
-    /// top-level `evolve`; composite macros run their expanded primitives
-    /// inside the outer transaction (see [`Database::in_evolution`]).
-    pub fn begin_evolution(&mut self) -> ModelResult<EvolutionTxn> {
-        let token = self.store.begin_txn()?;
-        Ok(EvolutionTxn { token, schema: self.schema.clone() })
-    }
-
-    /// Whether an evolution transaction is currently open.
-    pub fn in_evolution(&self) -> bool {
-        self.store.in_txn()
-    }
-
-    /// Make the transaction's mutations permanent.
-    pub fn commit_evolution(&mut self, txn: EvolutionTxn) -> ModelResult<()> {
-        self.store.commit_txn(txn.token)?;
-        Ok(())
-    }
-
-    /// Abort: the store rolls back every record and segment mutation via
-    /// its undo log, and the schema is restored from the checkpoint taken
-    /// at `begin` — no partially created classes survive.
-    pub fn rollback_evolution(&mut self, txn: EvolutionTxn) -> ModelResult<()> {
-        self.store.abort_txn(txn.token)?;
-        self.schema = txn.schema;
-        // Late-assigned segments created inside the transaction were rolled
-        // back with the store; drop any overlay entries pointing at them.
-        self.late_segments.write().retain(|_, seg| self.store.segment_name(*seg).is_ok());
+    /// Put back a schema checkpoint taken before a failed schema change.
+    /// This is the whole of a rollback at this layer: a TSE change only
+    /// derives classes, so it writes no record, creates no segment and
+    /// touches no membership, and the store is left as it is.
+    pub fn restore_schema(&mut self, schema: Schema) {
+        self.schema = schema;
         // The restored schema rewinds the generation counter, so a later
         // change could reuse a (schema_gen, data_gen) pair the extent cache
         // already holds entries for; bumping both data generations makes the
         // stale entries unreachable.
         self.touch_membership();
         self.touch_values();
-        Ok(())
     }
 
     // ----- object lifecycle ------------------------------------------------
@@ -1632,7 +1596,7 @@ mod tests {
     fn fork_shared_is_a_handle_onto_the_same_database() {
         let (db, _, student, _) = university();
         let o = db.create_object(student, &[("name", "a".into())]).unwrap();
-        let fork = db.fork_shared().unwrap();
+        let fork = db.fork_shared();
         assert!(fork.store().shares_contents_with(db.store()));
         assert_eq!(fork.read_attr(o, student, "name").unwrap(), Value::Str("a".into()));
         let o2 = fork.create_object(student, &[]).unwrap();

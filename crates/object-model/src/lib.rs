@@ -30,7 +30,7 @@ mod value;
 
 pub use class::{Class, ClassKind};
 pub use codec::{get_pending_prop, put_pending_prop};
-pub use database::{Database, EvolutionTxn, ObjRef, SlicingStats};
+pub use database::{Database, ObjRef, SlicingStats};
 pub use derivation::Derivation;
 pub use error::{ModelError, ModelResult};
 pub use ids::{ClassId, Oid, PropKey};

@@ -24,9 +24,6 @@ pub enum StorageError {
         /// Actual number of fields in the record.
         len: usize,
     },
-    /// A transaction was required but none is active, or one is already
-    /// active when a new one was requested.
-    TxnState(&'static str),
     /// Snapshot bytes were malformed.
     Corrupt(String),
     /// An operating-system I/O failure in the durable layer.
@@ -75,7 +72,6 @@ impl fmt::Display for StorageError {
             StorageError::FieldOutOfBounds { index, len } => {
                 write!(f, "field index {index} out of bounds (record has {len} fields)")
             }
-            StorageError::TxnState(msg) => write!(f, "transaction state error: {msg}"),
             StorageError::Corrupt(msg) => write!(f, "corrupt snapshot: {msg}"),
             StorageError::Io(msg) => write!(f, "durable i/o error: {msg}"),
             StorageError::Poisoned(msg) => write!(f, "wal poisoned: {msg}"),
@@ -104,7 +100,6 @@ mod tests {
             StorageError::FieldOutOfBounds { index: 9, len: 2 }.to_string(),
             "field index 9 out of bounds (record has 2 fields)"
         );
-        assert!(StorageError::TxnState("nested").to_string().contains("nested"));
         assert!(StorageError::Corrupt("bad magic".into()).to_string().contains("bad magic"));
     }
 }

@@ -16,15 +16,15 @@
 //! * **Records** — a record is an ordered list of payload fields. The payload
 //!   type is generic ([`Payload`]); the object model instantiates it with its
 //!   `Value` type.
-//! * **Transactions** — a single-writer undo log providing atomic multi-record
-//!   updates with abort/rollback, mirroring the transactional platform the
-//!   paper assumes.
 //! * **MVCC** — every record carries a small version chain stamped by a
 //!   shared [`EpochClock`]; readers pin an epoch ([`mvcc`]) and resolve
 //!   the version visible at it, so writers install new versions without
 //!   ever blocking readers, `fork_shared` makes the control plane's fork a
 //!   copy-free handle clone, and `SliceStore::gc` reclaims superseded
-//!   versions once the oldest pin advances.
+//!   versions once the oldest pin advances. There is no transaction undo
+//!   log: a TSE schema change derives virtual classes over the shared
+//!   objects and never writes a record here, so rolling one back is a
+//!   restore of metadata in the layers above.
 //! * **Snapshots** — a hand-rolled binary codec (over [`bytes`]) that can
 //!   persist and restore an entire store, with per-section CRC32s so torn
 //!   or bit-rotted blobs are rejected instead of mis-decoded.
@@ -61,7 +61,6 @@ pub mod scrub;
 mod snapshot;
 mod stats;
 mod store;
-mod txn;
 
 pub use crc::{crc32, Crc32};
 pub use error::{StorageError, StorageResult};
@@ -76,4 +75,3 @@ pub use payload::{Payload, SimplePayload};
 pub use snapshot::{decode_store, decode_store_with, encode_store};
 pub use stats::StoreStats;
 pub use store::{RecordId, SegmentId, SliceStore, StoreConfig};
-pub use txn::TxnToken;

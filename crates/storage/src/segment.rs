@@ -82,22 +82,6 @@ impl<P> Record<P> {
     }
 }
 
-/// Outcome of popping the newest version off a slot (transaction rollback).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum PopOutcome {
-    /// The popped version was the only one: the slot is empty again
-    /// (rolled back an insert).
-    Removed,
-    /// The popped version was a tombstone: the record is live again
-    /// (rolled back a delete).
-    Undeleted,
-    /// The popped version superseded an older live one, which is current
-    /// again (rolled back a field write).
-    Reverted,
-    /// No record at the slot (caller bug; tolerated in release builds).
-    Missing,
-}
-
 #[derive(Debug, Clone)]
 pub(crate) struct Segment<P> {
     pub name: String,
@@ -221,46 +205,6 @@ impl<P: Payload> Segment<P> {
         record.bytes = 0;
         self.pages.release(page, bytes);
         Some(fields)
-    }
-
-    /// Pop the newest version off a slot (transaction rollback of the
-    /// mutation that pushed it), restoring page accounting for whatever
-    /// version is current afterwards.
-    pub fn pop_version(&mut self, slot: u32, page_size: usize) -> PopOutcome {
-        let Some(record) = self.slots.get_mut(slot as usize).and_then(|r| r.as_mut()) else {
-            debug_assert!(false, "pop_version on empty slot");
-            return PopOutcome::Missing;
-        };
-        let popped = record.versions.pop().expect("record with empty version chain");
-        let was_live = popped.fields.is_some();
-        if was_live {
-            // The popped version owned the page charge.
-            let (page, bytes) = (record.page, record.bytes);
-            self.pages.release(page, bytes);
-        }
-        match record.versions.last() {
-            None => {
-                self.slots[slot as usize] = None;
-                self.free.push(slot);
-                PopOutcome::Removed
-            }
-            Some(now) => {
-                if let Some(fields) = now.fields.as_ref() {
-                    let bytes = record_bytes(fields);
-                    let page = self.pages.place(bytes, page_size);
-                    let record = self.slots[slot as usize].as_mut().unwrap();
-                    record.page = page;
-                    record.bytes = bytes;
-                    if was_live { PopOutcome::Reverted } else { PopOutcome::Undeleted }
-                } else {
-                    // Current is (still) a tombstone; nothing to re-charge.
-                    let record = self.slots[slot as usize].as_mut().unwrap();
-                    record.page = 0;
-                    record.bytes = 0;
-                    PopOutcome::Reverted
-                }
-            }
-        }
     }
 
     /// Prune version history unreachable from `watermark`: for every slot,
@@ -470,24 +414,6 @@ mod tests {
         assert!(r.is_err());
         assert_eq!(seg.record(a).unwrap().versions.len(), 1);
         assert_eq!(seg.fields_at(a, None).unwrap()[0], SP::Int(1));
-    }
-
-    #[test]
-    fn pop_version_rolls_back_in_reverse() {
-        let mut seg: Segment<SP> = Segment::new("s".into());
-        let (a, _) = seg.insert(vec![SP::Int(1)], PS, 1);
-        set_field(&mut seg, a, 2, 0, SP::Int(2));
-        seg.free(a, 3);
-        assert_eq!(seg.pop_version(a, PS), PopOutcome::Undeleted);
-        assert_eq!(seg.fields_at(a, None).unwrap()[0], SP::Int(2));
-        assert_eq!(seg.pop_version(a, PS), PopOutcome::Reverted);
-        assert_eq!(seg.fields_at(a, None).unwrap()[0], SP::Int(1));
-        assert_eq!(seg.pop_version(a, PS), PopOutcome::Removed);
-        assert_eq!(seg.len(), 0);
-        // Rolled-back insert frees the slot immediately (nothing was ever
-        // visible to any reader — the txn never published).
-        let (b, _) = seg.insert(vec![SP::Int(9)], PS, 4);
-        assert_eq!(b, a);
     }
 
     #[test]
